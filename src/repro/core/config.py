@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from ..errors import ConfigError
 from ..types import ALL_PRECISIONS, Kernel, Precision, TransferType
 from .problem import ProblemType, get_problem_type
 
-__all__ = ["RunConfig"]
+__all__ = ["RunConfig", "config_fingerprint"]
 
 _ALL_TRANSFERS = (TransferType.ONCE, TransferType.ALWAYS, TransferType.UNIFIED)
 
@@ -98,3 +100,25 @@ class RunConfig:
         if strided[-1] != params[-1]:
             strided.append(params[-1])
         return strided
+
+
+def config_fingerprint(config: RunConfig, system_name: Optional[str]) -> str:
+    """Stable hash of everything that must match for a checkpoint resume
+    or a sweep-cache hit to be meaningful."""
+    payload = {
+        "min_dim": config.min_dim,
+        "max_dim": config.max_dim,
+        "iterations": config.iterations,
+        "step": config.step,
+        "kernels": [k.value for k in config.kernels],
+        "problem_idents": list(config.problem_idents),
+        "precisions": [p.value for p in config.precisions],
+        "transfers": [t.value for t in config.transfers],
+        "cpu_enabled": config.cpu_enabled,
+        "gpu_enabled": config.gpu_enabled,
+        "alpha": config.alpha,
+        "beta": config.beta,
+        "system": system_name,
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()

@@ -5,12 +5,12 @@ enough redundancy to be audited offline:
 
 * **checkpoint journals, serve WALs and dispatch ledgers**
   (``*.jsonl``) — every record carries a ``cs`` checksum
-  (:func:`repro.faults.checkpoint.record_checksum`), the first line
-  must be a versioned header (``kind: "serve-wal"`` / ``"dist-ledger"``
-  headers select their dialect's own format version; an *unknown* kind
-  is reported, never silently version-checked as a checkpoint), and
-  only the *final* line may be torn (the crash artifact the writer
-  itself repairs on resume/restart);
+  (:func:`repro.journal.record_checksum`), the first line must be a
+  versioned header (its ``kind`` selects the dialect's format version
+  in :data:`repro.journal.VERSIONS`; an *unknown* kind is reported,
+  never silently version-checked as a checkpoint), and only the
+  *final* line may be torn (the crash artifact the writer itself
+  repairs on resume/restart);
 * **distributed result shards** (``<fp16>.json``) — a scenario
   fingerprint in the filename and a ``payload_sha256`` digest inside;
 * **sweep-cache entries** (``<sha256>.json``) — every entry embeds a
@@ -23,12 +23,12 @@ enough redundancy to be audited offline:
 
 :func:`fsck_paths` dispatches on what it finds; each checker returns
 :class:`Finding` objects.  With ``repair=True`` the damage is *moved
-out of the way*, never silently dropped: bad journal lines go to a
-``<journal>.bad`` sidecar (the journal is rewritten with only verified
-records), and bad cache entries / CSVs move into a ``quarantine/``
-subdirectory.  A finding that cannot be repaired (a journal with no
-valid header, say) stays ``repaired=False`` and keeps the exit code
-non-zero.
+out of the way*, never silently dropped: bad journal lines are
+appended to a ``<journal>.bad`` sidecar (the journal is then atomically
+replaced by its verified records), and bad cache entries / CSVs move
+into a ``quarantine/`` subdirectory.  A finding that cannot be
+repaired (a journal with no valid header, say) stays ``repaired=False``
+and keeps the exit code non-zero.
 """
 
 from __future__ import annotations
@@ -39,7 +39,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, List, Optional
 
-from ..faults.checkpoint import FORMAT_VERSION, record_checksum
+from ..journal import (
+    VERSIONS,
+    append_sidecar,
+    read_lines,
+    rewrite_journal,
+    scan_lines,
+)
 from .csvio import QUARANTINE_FILENAME, read_samples
 from .sweepcache import CACHE_VERSION, LOCK_FILENAME, payload_digest
 
@@ -89,96 +95,57 @@ def _quarantine_file(path: Path, kind: str, problem: str,
 # -- journals ---------------------------------------------------------
 
 
-def _journal_versions() -> dict:
-    """The dialect registry: header ``kind`` marker -> the format
-    version this build reads.  ``None`` is the sweep checkpoint
-    dialect (no kind marker).  Lazy imports: repro.serve/.dist pull in
-    this module's siblings."""
-    from ..dist.ledger import LEDGER_KIND, LEDGER_VERSION
-    from ..serve.wal import WAL_KIND, WAL_VERSION
-
-    return {
-        None: FORMAT_VERSION,
-        WAL_KIND: WAL_VERSION,
-        LEDGER_KIND: LEDGER_VERSION,
-    }
+def _header_problem(records: List[dict]) -> Optional[str]:
+    """Why the first verified record is not a header this build reads
+    (None when it is)."""
+    if not records:
+        return "no valid records at all"
+    header = records[0]
+    kind = header.get("kind")
+    if header.get("t") != "header":
+        return "first valid record is not a header"
+    if kind not in VERSIONS:
+        # an unknown dialect must be *reported*, not silently
+        # version-checked as a checkpoint: a version-skewed ledger
+        # from a newer build should be visible, not ignored
+        known = ", ".join(repr(k) for k in VERSIONS if k is not None)
+        return (f"unknown journal kind {kind!r} (this build reads: "
+                f"sweep checkpoints, {known})")
+    if header.get("version") != VERSIONS[kind]:
+        return (f"format version {header.get('version')!r} "
+                f"(this build reads {VERSIONS[kind]} for "
+                + (f"kind {kind!r})" if kind else "sweep checkpoints)"))
+    return None
 
 
 def fsck_journal(path, repair: bool = False) -> List[Finding]:
-    """Audit one checkpoint journal line by line.
+    """Audit one checksummed journal line by line.
 
-    Repair rewrites the journal with only the records that verify and
-    appends every rejected line to a ``<journal>.bad`` sidecar.  A
+    Repair appends every rejected line to a ``<journal>.bad`` sidecar,
+    then atomically replaces the journal with the lines that verify.  A
     journal whose header itself is missing or corrupt cannot be
     repaired — resuming from it would be meaningless anyway.
     """
     path = Path(path)
-    findings: List[Finding] = []
     try:
-        lines = path.read_text().splitlines()
+        lines = read_lines(path)
     except OSError as exc:
         return [Finding(path, "journal", f"unreadable: {exc}")]
-
-    good: List[str] = []
-    bad: List[str] = []
-
-    def flag(line_no: int, problem: str, line: str) -> None:
-        findings.append(Finding(path, "journal", f"line {line_no}: {problem}"))
-        bad.append(line)
-
-    for i, line in enumerate(lines):
-        try:
-            rec = json.loads(line)
-        except ValueError:
-            if i == len(lines) - 1:
-                flag(i + 1, "torn final line (crash artifact)", line)
-            else:
-                flag(i + 1, "unparseable JSON", line)
-            continue
-        if not isinstance(rec, dict) or rec.get("cs") != record_checksum(rec):
-            flag(i + 1, "record checksum mismatch", line)
-            continue
-        good.append(line)
-
-    header_ok = False
-    if good:
-        header = json.loads(good[0])
-        kind = header.get("kind")
-        expected_version = _journal_versions().get(kind)
-        if header.get("t") != "header":
-            findings.append(
-                Finding(path, "journal", "first valid record is not a header")
-            )
-        elif expected_version is None:
-            # an unknown dialect must be *reported*, not silently
-            # version-checked as a checkpoint: a version-skewed ledger
-            # from a newer build should be visible, not ignored
-            known = ", ".join(
-                repr(k) for k in _journal_versions() if k is not None
-            )
-            findings.append(Finding(
-                path, "journal",
-                f"unknown journal kind {kind!r} (this build reads: "
-                f"sweep checkpoints, {known})",
-            ))
-        elif header.get("version") != expected_version:
-            findings.append(Finding(
-                path, "journal",
-                f"format version {header.get('version')!r} "
-                f"(this build reads {expected_version} for "
-                + (f"kind {kind!r})" if kind else "sweep checkpoints)"),
-            ))
-        else:
-            header_ok = True
-    else:
-        findings.append(Finding(path, "journal", "no valid records at all"))
-
-    if repair and bad and header_ok:
-        sidecar = path.with_name(path.name + ".bad")
-        with sidecar.open("a") as fh:
-            for line in bad:
-                fh.write(line + "\n")
-        path.write_text("".join(line + "\n" for line in good))
+    scan = scan_lines(lines)
+    findings = [
+        Finding(path, "journal", f"line {bad.line_no}: {bad.problem}")
+        for bad in scan.bad
+    ]
+    header_problem = _header_problem(scan.records)
+    if header_problem is not None:
+        findings.append(Finding(path, "journal", header_problem))
+    elif repair and scan.bad:
+        append_sidecar(path, [bad.text for bad in scan.bad])
+        rejected = {bad.line_no for bad in scan.bad}
+        rewrite_journal(path, [
+            line for no, line in enumerate(lines, start=1)
+            if no not in rejected
+        ])
         for f in findings:
             f.repaired = True
     return findings

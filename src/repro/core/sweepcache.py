@@ -2,11 +2,11 @@
 
 Re-running the exact same sweep is the common case of the golden-
 regression workflow: the tables/figures regenerate from configurations
-that have not changed.  The cache keys a JSON store on the checkpoint
-layer's config fingerprint (:func:`repro.faults.checkpoint
-.config_fingerprint`) combined with the backend's ``cache_token`` — the
-full parameterization of the model behind it — so a hit can only replay
-a run that would have been recomputed identically.
+that have not changed.  The cache keys a JSON store on the config
+fingerprint (:func:`repro.core.config.config_fingerprint`) combined
+with the backend's ``cache_token`` — the full parameterization of the
+model behind it — so a hit can only replay a run that would have been
+recomputed identically.
 
 Floats are stored as JSON numbers, which round-trip exactly, so a
 cache hit reproduces every ``PerfSample`` bit-for-bit and downstream
@@ -47,9 +47,8 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 from ..errors import CacheIntegrityWarning, ConfigError
-from ..faults.checkpoint import config_fingerprint
 from ..types import DeviceKind, Dims, Kernel, Precision, TransferType
-from .config import RunConfig
+from .config import RunConfig, config_fingerprint
 from .problem import get_problem_type
 from .records import PerfSample, ProblemSeries
 

@@ -45,10 +45,10 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.campaign import CampaignResult, CampaignSpec, expand_scenarios
+from ..core.histogram import LatencyHistogram
 from ..core.runner import RetryPolicy
 from ..errors import ConfigError
 from ..faults.distchaos import DistChaosKind, DistChaosPlan
-from ..serve.metrics import LatencyHistogram
 from .heartbeat import HeartbeatMonitor
 from .ledger import LEDGER_FILENAME, DispatchLedger
 from .worker import (
@@ -84,9 +84,8 @@ class DistStats:
     replayed: int = 0
     local_fallback: int = 0
     backoff_s: float = 0.0
-    #: assignment -> completion turnaround per scenario, reusing the
-    #: serving layer's log-bucketed histogram so the bench and the
-    #: daemon report latency in the same shape
+    #: assignment -> completion turnaround per scenario, in the same
+    #: log-bucketed histogram the serving daemon reports latency with
     turnaround: LatencyHistogram = field(default_factory=LatencyHistogram)
 
     def snapshot(self) -> Dict[str, object]:

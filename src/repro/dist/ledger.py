@@ -2,12 +2,12 @@
 
 The dispatcher journals every scheduling decision — which worker holds
 which scenario, under what lease, on which attempt — to an append-only
-checksummed JSONL file in the shared journal dialect
-(:class:`~repro.serve.wal.ChecksummedJournal`): one record per line,
-each carrying a truncated-SHA-256 ``cs`` checksum, a torn final line
-(the crash artifact) repaired on open, and a ``kind: "dist-ledger"``
-header that lets ``gpu-blob fsck`` tell a ledger from a sweep
-checkpoint or a serve WAL.
+checksummed JSONL file in the shared journal format
+(:mod:`repro.journal`): one record per line, each carrying a
+truncated-SHA-256 ``cs`` checksum, a torn final line (the crash
+artifact) repaired on open, and a ``kind: "dist-ledger"`` header that
+lets ``gpu-blob fsck`` tell a ledger from a sweep checkpoint or a
+serve WAL.
 
 The ledger is what makes a distributed campaign restartable: kill -9
 the *dispatcher* mid-campaign, run the same command again with
@@ -40,11 +40,11 @@ Record types (all with ``cs``):
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..errors import ConfigError
-from ..serve.wal import ChecksummedJournal, JournalScan, scan_journal
+from ..journal import VERSIONS, ChecksummedJournal, LeaseState
 
 __all__ = [
     "LEDGER_FILENAME",
@@ -56,18 +56,15 @@ __all__ = [
     "load_ledger_state",
 ]
 
-#: Format version of the dispatch ledger journal.
-LEDGER_VERSION = 1
-
 #: Header ``kind`` marker distinguishing a dispatch ledger from the
 #: other checksummed JSONL dialects (checkpoints, serve WALs).
 LEDGER_KIND = "dist-ledger"
 
+#: Format version of the dispatch ledger journal.
+LEDGER_VERSION = VERSIONS[LEDGER_KIND]
+
 #: Canonical ledger filename inside a campaign's ``--dist-dir``.
 LEDGER_FILENAME = "ledger.jsonl"
-
-#: Record types a ledger may contain (beyond the header).
-RECORD_TYPES = ("assign", "renew", "complete", "dead")
 
 
 @dataclass
@@ -82,98 +79,55 @@ class LedgerEntry:
     deadline: float = 0.0
     reason: str = ""
 
+    @classmethod
+    def from_record(cls, rec: dict) -> "LedgerEntry":
+        return cls(
+            fp=str(rec["fp"]),
+            index=int(rec["index"]),
+            worker=str(rec["worker"]),
+            attempt=int(rec["attempt"]),
+            deadline=float(rec["deadline"]),
+        )
+
+    def renew(self, rec: dict) -> None:
+        self.worker, self.deadline = str(rec["worker"]), float(rec["deadline"])
+
     def expired(self, now: float) -> bool:
         """Has the lease lapsed (the holder should have finished)?"""
         return now >= self.deadline
 
 
-@dataclass
-class LedgerState:
+class LedgerState(LeaseState):
     """Everything a reader (the resuming dispatcher, fsck, a test)
-    reconstructs from one ledger file."""
+    reconstructs from one ledger file: ``entries`` maps scenario
+    fingerprint to :class:`LedgerEntry`."""
 
-    entries: Dict[str, LedgerEntry] = field(default_factory=dict)
-    corrupt_records: int = 0
-    torn_tail: bool = False
-    has_header: bool = False
-    #: campaign fingerprint stamped into the header ("" when absent)
-    campaign_fingerprint: str = ""
-    campaign_name: str = ""
+    kind = LEDGER_KIND
+    key = "fp"
+    acquire = "assign"
+    live = "assigned"
+    entry_type = LedgerEntry
 
-    def counts(self) -> Dict[str, int]:
-        out = {"assigned": 0, "complete": 0, "dead": 0}
-        for entry in self.entries.values():
-            out[entry.state] += 1
-        return out
+    @property
+    def campaign_fingerprint(self) -> str:
+        """Campaign fingerprint stamped into the header ("" when absent)."""
+        return str((self.header or {}).get("campaign_fp", ""))
+
+    @property
+    def campaign_name(self) -> str:
+        return str((self.header or {}).get("campaign", ""))
 
     def in_flight(self) -> List[LedgerEntry]:
         """Assigned-but-unfinished scenarios, lowest index first —
         exactly what a restarted dispatcher must steal or re-run."""
-        return sorted(
-            (e for e in self.entries.values() if e.state == "assigned"),
-            key=lambda e: e.index,
-        )
-
-
-def _apply_record(state: LedgerState, rec: dict) -> bool:
-    """Fold one verified record into ``state``; False if malformed."""
-    t = rec.get("t")
-    if t == "assign":
-        try:
-            entry = LedgerEntry(
-                fp=str(rec["fp"]),
-                index=int(rec["index"]),
-                worker=str(rec["worker"]),
-                attempt=int(rec["attempt"]),
-                deadline=float(rec["deadline"]),
-            )
-        except (KeyError, TypeError, ValueError):
-            return False
-        prior = state.entries.get(entry.fp)
-        if prior is not None and prior.state != "assigned":
-            # late assign after complete/dead: the terminal state wins
-            return True
-        state.entries[entry.fp] = entry
-        return True
-    if t == "renew":
-        entry = state.entries.get(rec.get("fp"))
-        if entry is None:
-            return True  # renew for a lost assign: harmless
-        try:
-            entry.worker = str(rec["worker"])
-            entry.deadline = float(rec["deadline"])
-        except (KeyError, TypeError, ValueError):
-            return False
-        return True
-    if t in ("complete", "dead"):
-        entry = state.entries.get(rec.get("fp"))
-        if entry is not None and entry.state == "assigned":
-            entry.state = "complete" if t == "complete" else "dead"
-            if t == "dead":
-                entry.reason = str(rec.get("reason", ""))
-        return True
-    return False
-
-
-def _fold(state: LedgerState, scan: JournalScan) -> LedgerState:
-    state.corrupt_records = scan.corrupt_records
-    state.torn_tail = scan.torn_tail
-    state.has_header = scan.has_header
-    if scan.header is not None:
-        state.campaign_fingerprint = str(scan.header.get("campaign_fp", ""))
-        state.campaign_name = str(scan.header.get("campaign", ""))
-    for rec in scan.records:
-        if not _apply_record(state, rec):
-            state.corrupt_records += 1
-    return state
+        return self._live(lambda e: e.index)
 
 
 def load_ledger_state(path) -> LedgerState:
     """Parse one ledger file leniently, skipping (and counting) damaged
     records.  A missing file is an empty state; damage never raises —
     ``gpu-blob fsck`` audits and repairs offline."""
-    return _fold(LedgerState(), scan_journal(path, LEDGER_KIND,
-                                             LEDGER_VERSION))
+    return LedgerState.load(path)
 
 
 class DispatchLedger(ChecksummedJournal):
@@ -186,8 +140,7 @@ class DispatchLedger(ChecksummedJournal):
     headerless or wrong-dialect files to a ``.bad`` sidecar).
     """
 
-    kind = LEDGER_KIND
-    version = LEDGER_VERSION
+    state_type = LedgerState
 
     def __init__(
         self,
@@ -204,7 +157,6 @@ class DispatchLedger(ChecksummedJournal):
         self.campaign_fingerprint = campaign_fingerprint
         self.lease_s = lease_s
         super().__init__(path, clock=clock, sync=sync)
-        self.state = _fold(LedgerState(), self.scan)
 
     def _header_extra(self) -> dict:
         return {
@@ -212,14 +164,14 @@ class DispatchLedger(ChecksummedJournal):
             "campaign_fp": self.campaign_fingerprint,
         }
 
-    def _check_header(self, scan: JournalScan) -> None:
-        if scan.header is None:
+    def _check_header(self, header: Optional[dict]) -> None:
+        if header is None:
             return
-        found = scan.header.get("campaign_fp")
+        found = header.get("campaign_fp")
         if found != self.campaign_fingerprint:
             raise ConfigError(
                 f"dispatch ledger {self.path} belongs to campaign "
-                f"{scan.header.get('campaign')!r} (fingerprint {found}); "
+                f"{header.get('campaign')!r} (fingerprint {found}); "
                 f"this run is {self.campaign_name!r} "
                 f"({self.campaign_fingerprint}) — remove the stale "
                 "ledger or point --dist-dir elsewhere"
@@ -233,49 +185,31 @@ class DispatchLedger(ChecksummedJournal):
         lease deadline.  A steal or retry is a fresh assign with a
         bumped attempt."""
         deadline = self.clock() + self.lease_s
-        self._append({
+        self._record({
             "t": "assign", "fp": fp, "index": index, "worker": worker,
             "attempt": attempt, "deadline": deadline,
         })
-        self.state.entries[fp] = LedgerEntry(
-            fp=fp, index=index, worker=worker, attempt=attempt,
-            deadline=deadline,
-        )
         return deadline
 
     def renew(self, fp: str, worker: str) -> float:
         """Extend the lease of an in-flight scenario (heartbeat with
         less than half the lease remaining); returns the new deadline."""
-        entry = self.state.entries[fp]
         deadline = self.clock() + self.lease_s
-        self._append({
+        self._record({
             "t": "renew", "fp": fp, "worker": worker, "deadline": deadline,
         })
-        entry.worker = worker
-        entry.deadline = deadline
         return deadline
 
     def complete(self, fp: str) -> bool:
         """Journal completion exactly once per fingerprint: ``False``
         (and no record) when the scenario is unknown or already
         complete/dead — the duplicate-finish dedupe point."""
-        entry = self.state.entries.get(fp)
-        if entry is None or entry.state != "assigned":
-            return False
-        self._append({"t": "complete", "fp": fp})
-        entry.state = "complete"
-        return True
+        return self._finish("complete", fp)
 
     def dead(self, fp: str, reason: str = "") -> bool:
         """Journal dead-lettering (attempts exhausted); idempotent like
         :meth:`complete`."""
-        entry = self.state.entries.get(fp)
-        if entry is None or entry.state != "assigned":
-            return False
-        self._append({"t": "dead", "fp": fp, "reason": reason})
-        entry.state = "dead"
-        entry.reason = reason
-        return True
+        return self._finish("dead", fp, reason=reason)
 
     # -- read side -----------------------------------------------------
 

@@ -44,8 +44,8 @@ from pathlib import Path
 from queue import Empty, SimpleQueue
 from typing import Callable, List, Optional, Sequence
 
+from ..core.config import config_fingerprint
 from ..errors import ReproError
-from ..faults.checkpoint import config_fingerprint
 from ..types import Kernel, Precision, TransferType
 
 __all__ = [

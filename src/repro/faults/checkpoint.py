@@ -15,39 +15,41 @@ most the in-flight sample:
   that the resuming runner must re-apply, plus informational worker-
   supervision events (``shard-retry``, ``shard-inprocess``).
 
-Every record carries a ``cs`` field — a truncated SHA-256 of the
-record's canonical JSON form without it — so a flipped byte inside a
-*syntactically valid* line can never replay as truth: checksums are
-verified on load and by ``repro fsck``.
-
-A torn final line (the classic crash artifact) is dropped on read;
-corruption anywhere else — unparseable JSON or a failed record
-checksum — raises :class:`~repro.errors.CheckpointError`.
+The file is the sweep-checkpoint dialect of the shared checksummed
+JSONL format (:mod:`repro.journal`), read *strictly*: a torn final
+line (the classic crash artifact) is dropped, but corruption anywhere
+else — unparseable JSON or a failed record checksum — raises
+:class:`~repro.errors.CheckpointError`, as do a foreign fingerprint
+and a format-version skew.  Appends flush but do not fsync.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, TextIO, Tuple
 
+from ..core.config import config_fingerprint
 from ..core.records import PerfSample, QuarantineEntry
 from ..errors import CheckpointError
+from ..journal import (
+    UNPARSEABLE,
+    VERSIONS,
+    encode_record,
+    repair_torn_tail,
+    scan_journal,
+)
 from ..types import DeviceKind, Dims, Kernel, Precision, TransferType
 
 __all__ = [
     "CheckpointReader",
     "CheckpointState",
     "CheckpointWriter",
-    "config_fingerprint",
-    "record_checksum",
     "sample_key",
 ]
 
 #: v2 added the per-record ``cs`` integrity checksum.
-FORMAT_VERSION = 2
+FORMAT_VERSION = VERSIONS[None]
 
 #: The key one sweep cell is checkpointed and resumed under.
 SampleKey = Tuple[str, str, str, str, Optional[str], int, int, int, int]
@@ -75,39 +77,6 @@ def sample_key(
     )
 
 
-def config_fingerprint(config, system_name: Optional[str]) -> str:
-    """Stable hash of everything that must match for a resume to be
-    meaningful."""
-    payload = {
-        "min_dim": config.min_dim,
-        "max_dim": config.max_dim,
-        "iterations": config.iterations,
-        "step": config.step,
-        "kernels": [k.value for k in config.kernels],
-        "problem_idents": list(config.problem_idents),
-        "precisions": [p.value for p in config.precisions],
-        "transfers": [t.value for t in config.transfers],
-        "cpu_enabled": config.cpu_enabled,
-        "gpu_enabled": config.gpu_enabled,
-        "alpha": config.alpha,
-        "beta": config.beta,
-        "system": system_name,
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def record_checksum(record: dict) -> str:
-    """Truncated SHA-256 of a journal record's canonical JSON form,
-    excluding the ``cs`` field itself.  Canonicalization (sorted keys,
-    compact separators) makes the digest independent of field order, so
-    hand-repaired or merged records verify as long as their *values*
-    are intact."""
-    body = {k: v for k, v in record.items() if k != "cs"}
-    blob = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
 def _key_fields(key: SampleKey) -> dict:
     kernel, ident, precision, device, transfer, m, n, k, iterations = key
     return {
@@ -130,23 +99,6 @@ def _record_key(rec: dict) -> SampleKey:
     )
 
 
-def _repair_torn_tail(path: Path) -> None:
-    """Drop a torn (crash-truncated) final line before appending."""
-    text = path.read_text()
-    lines = text.splitlines(keepends=True)
-    if not lines:
-        return
-    last = lines[-1]
-    torn = not last.endswith("\n")
-    if not torn:
-        try:
-            json.loads(last)
-        except ValueError:
-            torn = True
-    if torn:
-        path.write_text("".join(lines[:-1]))
-
-
 class CheckpointWriter:
     """Appends sweep events to a JSONL checkpoint file."""
 
@@ -156,7 +108,7 @@ class CheckpointWriter:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         fresh = not (resume and self.path.exists())
         if not fresh:
-            _repair_torn_tail(self.path)
+            repair_torn_tail(self.path)
         mode = "a" if resume else "w"
         self._fh: Optional[TextIO] = self.path.open(mode)
         if fresh:
@@ -170,8 +122,7 @@ class CheckpointWriter:
     def _write(self, record: dict) -> None:
         if self._fh is None:  # pragma: no cover - defensive
             raise CheckpointError("checkpoint writer is closed")
-        record["cs"] = record_checksum(record)
-        self._fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+        self._fh.write(encode_record(record))
         self._fh.flush()
 
     def sample(self, key: SampleKey, sample: PerfSample) -> None:
@@ -247,26 +198,21 @@ class CheckpointReader:
         path = Path(path)
         if not path.exists():
             raise CheckpointError(f"checkpoint {path} does not exist")
-        lines = path.read_text().splitlines()
-        if not lines:
+        scan = scan_journal(path)
+        if not (scan.records or scan.bad):
             raise CheckpointError(f"checkpoint {path} is empty")
-        records: List[dict] = []
-        for i, line in enumerate(lines):
-            try:
-                rec = json.loads(line)
-            except ValueError:
-                if i == len(lines) - 1:
-                    break  # torn final line from a crash: drop it
+        if scan.corrupt:
+            bad = scan.corrupt[0]
+            if bad.problem == UNPARSEABLE:
                 raise CheckpointError(
-                    f"checkpoint {path} is corrupt at line {i + 1}"
+                    f"checkpoint {path} is corrupt at line {bad.line_no}"
                 )
-            if not isinstance(rec, dict) or rec.get("cs") != record_checksum(rec):
-                raise CheckpointError(
-                    f"checkpoint {path} failed its record checksum at "
-                    f"line {i + 1}; the journal has been corrupted "
-                    "(run `gpu-blob fsck` to audit and repair it)"
-                )
-            records.append(rec)
+            raise CheckpointError(
+                f"checkpoint {path} failed its record checksum at "
+                f"line {bad.line_no}; the journal has been corrupted "
+                "(run `gpu-blob fsck` to audit and repair it)"
+            )
+        records = scan.records
         if not records or records[0].get("t") != "header":
             raise CheckpointError(f"checkpoint {path} has no header line")
         header = records[0]

@@ -17,7 +17,7 @@ from .breaker import BreakerBoard, BreakerState, CircuitBreaker
 from .client import ClientResponse, ClientRetryPolicy, ServeClient, fetch_json
 from .httpd import HttpError, Request, Response, json_response
 from .jobs import JobQueue, QueueFullError
-from .metrics import LatencyHistogram, ServeMetrics
+from .metrics import ServeMetrics
 from .quota import RateLimiter
 from .service import (
     ApiError,
@@ -38,7 +38,6 @@ __all__ = [
     "ClientRetryPolicy",
     "HttpError",
     "JobQueue",
-    "LatencyHistogram",
     "QueueFullError",
     "RateLimiter",
     "Request",

@@ -8,6 +8,7 @@ identical to an uninterrupted run of the same seeded plan.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import tempfile
 import warnings
@@ -29,9 +30,10 @@ from repro import (
     run_sweep,
 )
 from repro.backends.base import Backend
+from repro.core.config import config_fingerprint
 from repro.core.csvio import write_run
 from repro.errors import CheckpointError, PartialSweepWarning
-from repro.faults.checkpoint import CheckpointReader, config_fingerprint
+from repro.faults.checkpoint import CheckpointReader
 
 MODEL = make_model("lumi")
 CONFIG = RunConfig(
@@ -163,6 +165,38 @@ def test_resume_after_torn_tail_still_completes(tmp_path):
     ck.write_text(ck.read_text() + '{"t": "sam')  # torn write, no newline
     resumed = quiet_sweep(chain(), checkpoint=ck, resume=True)
     assert resumed == ref
+
+
+def test_compat_checkpoint_resumes_byte_identically(compat_journal):
+    """A checkpoint written before :mod:`repro.journal` existed loads to
+    the same state, resumes to the exact journal bytes and CSVs that
+    build produced, and refuses to resume over a flipped byte."""
+    plan = FaultPlan.uniform(0.35, seed=7, device_lost_rate=0.1)
+    retry = RetryPolicy(max_retries=1, sample_timeout_s=60.0)
+    ck = compat_journal("checkpoint.jsonl")
+    original = ck.read_bytes()
+    state = CheckpointReader.load(ck, CONFIG, "lumi")
+    assert len(state.samples) == 7 and state.device_lost
+    assert [(q.dims.m, q.transfer.value) for q in state.quarantine] == [
+        (1, "always"), (17, "always")]
+
+    def sweep(**kwargs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PartialSweepWarning)
+            return run_sweep(FaultInjector(AnalyticBackend(MODEL), plan),
+                             CONFIG, retry=retry, **kwargs)
+
+    resumed = sweep(checkpoint=ck, resume=True)
+    assert resumed == sweep()
+    assert resumed.stats.resumed_samples == 7
+    assert hashlib.sha256(ck.read_bytes()).hexdigest() == (
+        "475bf84f79a58a823004e948ee8f457d9ed32b23276c2a6c7fc357b655e39120")
+
+    blob = bytearray(original)
+    blob[-5] ^= 0x01  # inside the last record's checksum
+    ck.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="record checksum"):
+        CheckpointReader.load(ck, CONFIG, "lumi")
 
 
 def test_resume_without_existing_checkpoint_starts_fresh(tmp_path):

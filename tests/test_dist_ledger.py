@@ -24,7 +24,7 @@ from repro.dist.ledger import (
     load_ledger_state,
 )
 from repro.errors import ConfigError
-from repro.faults.checkpoint import record_checksum
+from repro.journal import record_checksum
 
 
 class FakeClock:
@@ -163,6 +163,41 @@ def test_campaign_fingerprint_veto(tmp_path, clock):
     ledger.close()
     with pytest.raises(ConfigError, match="belongs to campaign"):
         make_ledger(path, clock, fp="ffff999988887777", name="other")
+
+
+def test_compat_ledger_loads_and_reopens_unchanged(compat_journal, clock):
+    """A ledger written before :mod:`repro.journal` existed folds to the
+    same entries, resumes under its campaign, and reports a flipped
+    byte."""
+    path = compat_journal("ledger.jsonl")
+    original = path.read_bytes()
+    state = load_ledger_state(path)
+    assert state.has_header and not state.torn_tail
+    assert state.corrupt_records == 0
+    assert (state.campaign_name, state.campaign_fingerprint) == (
+        "compat", "aaaa000011112222")
+    assert state.counts() == {"assigned": 2, "complete": 1, "dead": 1}
+    assert [
+        (e.fp, e.index, e.state, e.worker, e.attempt, e.deadline, e.reason)
+        for e in state.entries.values()
+    ] == [
+        ("fp1", 0, "complete", "w0", 1, 530.0, ""),
+        ("fp2", 1, "assigned", "w0", 2, 590.0, ""),
+        ("fp3", 2, "dead", "w0", 1, 550.0, "attempts exhausted"),
+        ("fp4", 3, "assigned", "w1", 1, 590.0, ""),
+    ]
+
+    ledger = make_ledger(path, clock, name="compat")
+    assert [e.fp for e in ledger.state.in_flight()] == ["fp2", "fp4"]
+    assert ledger.complete("fp1") is False  # already complete
+    assert ledger.complete("fp2") is True
+    ledger.close()
+    assert path.read_bytes().startswith(original)
+
+    blob = bytearray(original)
+    blob[-5] ^= 0x01  # inside the last record's checksum
+    path.write_bytes(bytes(blob))
+    assert load_ledger_state(path).corrupt_records == 1
 
 
 def test_missing_ledger_is_empty_state(tmp_path):

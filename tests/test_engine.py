@@ -19,7 +19,7 @@ from repro import (
     system_names,
     threshold_for_series,
 )
-from repro.errors import DeferredFeatureError, UnknownSystemError
+from repro.errors import UnknownSystemError
 
 
 @pytest.fixture(scope="module")
@@ -117,21 +117,6 @@ def test_invariant_isambard_has_lowest_gemm_thresholds(sweeps, i):
         r = _thr(sweeps, other, i, Kernel.GEMM, Precision.SINGLE,
                  TransferType.ONCE)
         assert not r.found or isam.dims.m <= r.dims.m
-
-
-# -- deferred stubs -------------------------------------------------------
-
-
-def test_deferred_modules_import_but_refuse_to_run():
-    from repro.sim.multitile import MultiTileGpu
-    from repro.sparse import SparseNodeModel, spmv_csr
-
-    with pytest.raises(DeferredFeatureError):
-        MultiTileGpu(None, None)
-    with pytest.raises(DeferredFeatureError):
-        SparseNodeModel(make_model("dawn"))
-    with pytest.raises(DeferredFeatureError):
-        spmv_csr(None, None, None)
 
 
 def test_des_backend_is_no_longer_deferred():

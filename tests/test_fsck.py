@@ -8,6 +8,9 @@ of the way (never silently drop it) so a re-audit comes back clean.
 from __future__ import annotations
 
 import json
+from pathlib import Path
+
+import pytest
 
 from repro import AnalyticBackend, RunConfig, make_model, run_sweep
 from repro.core.csvio import write_run
@@ -17,6 +20,7 @@ from repro.core.fsck import (
     fsck_paths,
     fsck_results_csv,
 )
+from repro.journal import repair_torn_tail
 from repro.types import Kernel, Precision
 
 CONFIG = RunConfig(
@@ -41,6 +45,10 @@ def _artifacts(tmp_path, cache=False, checkpoint=False, output=False):
     return result
 
 
+#: The committed journals the pre-``repro.journal`` writers produced.
+COMPAT = ("checkpoint.jsonl", "serve-wal.jsonl", "ledger.jsonl")
+
+
 def _flip_byte(path, offset_from_end=10):
     blob = bytearray(path.read_bytes())
     blob[len(blob) - offset_from_end] ^= 0x01
@@ -50,26 +58,30 @@ def _flip_byte(path, offset_from_end=10):
 # -- journals ---------------------------------------------------------
 
 
-def test_clean_journal_verifies(tmp_path):
+def test_clean_journal_verifies(tmp_path, compat_journal):
     _artifacts(tmp_path, checkpoint=True)
     assert fsck_journal(tmp_path / "ck.jsonl") == []
+    for name in COMPAT:
+        assert fsck_journal(compat_journal(name)) == [], name
 
 
-def test_flipped_byte_in_any_journal_record_is_detected(tmp_path):
+def test_flipped_byte_in_any_journal_record_is_detected(
+    tmp_path, compat_journal
+):
     _artifacts(tmp_path, checkpoint=True)
-    pristine = (tmp_path / "ck.jsonl").read_text()
-    n_lines = len(pristine.splitlines())
-    assert n_lines > 3
-    for line_no in range(1, n_lines + 1):
-        lines = pristine.splitlines()
-        target = bytearray(lines[line_no - 1].encode())
-        target[len(target) // 2] ^= 0x01  # flip one bit mid-record
-        lines[line_no - 1] = target.decode("latin-1")
-        journal = tmp_path / "ck.jsonl"
-        journal.write_text("\n".join(lines) + "\n")
-        findings = fsck_journal(journal)
-        assert findings, f"flip in line {line_no} went undetected"
-        assert f"line {line_no}" in findings[0].problem
+    for journal in [tmp_path / "ck.jsonl", *map(compat_journal, COMPAT)]:
+        pristine = journal.read_text()
+        n_lines = len(pristine.splitlines())
+        assert n_lines > 3
+        for line_no in range(1, n_lines + 1):
+            lines = pristine.splitlines()
+            target = bytearray(lines[line_no - 1].encode())
+            target[len(target) // 2] ^= 0x01  # flip one bit mid-record
+            lines[line_no - 1] = target.decode("latin-1")
+            journal.write_text("\n".join(lines) + "\n")
+            findings = fsck_journal(journal)
+            assert findings, f"flip in {journal.name}:{line_no} undetected"
+            assert f"line {line_no}" in findings[0].problem
 
 
 def test_journal_repair_rewrites_and_sidelines(tmp_path):
@@ -96,6 +108,61 @@ def test_torn_tail_is_reported_as_such(tmp_path):
     journal.write_text(journal.read_text()[:-20])
     findings = fsck_journal(journal)
     assert len(findings) == 1 and "torn" in findings[0].problem
+
+
+def _fail_writes_midway(monkeypatch):
+    """Make every write-mode open die halfway through its first write,
+    like a kill -9 (or a full disk) in the middle of a rewrite."""
+    real_open = Path.open
+
+    class HalfWriter:
+        def __init__(self, fh):
+            self._fh = fh
+
+        def write(self, data):
+            self._fh.write(data[: len(data) // 2])
+            self._fh.flush()
+            raise OSError("simulated crash mid-write")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._fh.close()
+
+    def open_(self, mode="r", *args, **kwargs):
+        fh = real_open(self, mode, *args, **kwargs)
+        return HalfWriter(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(Path, "open", open_)
+
+
+def test_journal_repair_survives_a_failed_rewrite(tmp_path, monkeypatch):
+    """A repair that dies mid-write must leave every committed record:
+    fsck rewrites via a temp file + os.replace, and torn-tail repair
+    only truncates."""
+    _artifacts(tmp_path, checkpoint=True)
+    journal = tmp_path / "ck.jsonl"
+    lines = journal.read_text().splitlines()
+    lines[2] = lines[2].replace(":", ";", 1)  # unparseable mid-file
+    damaged = ("\n".join(lines) + "\n").encode()
+    journal.write_bytes(damaged)
+    torn = tmp_path / "torn.jsonl"
+    intact = "".join(line + "\n" for line in lines[:2]).encode()
+    torn.write_bytes(intact + b'{"t": "sam')
+
+    _fail_writes_midway(monkeypatch)
+    with pytest.raises(OSError, match="simulated crash"):
+        fsck_journal(journal, repair=True)
+    assert journal.read_bytes() == damaged
+    assert repair_torn_tail(torn) is True
+    assert torn.read_bytes() == intact
+    monkeypatch.undo()
+
+    assert [f.repaired for f in fsck_journal(journal, repair=True)] == [True]
+    assert fsck_journal(journal) == []
+    assert sorted(p.name for p in tmp_path.iterdir()
+                  if p.name.startswith("ck.")) == ["ck.jsonl", "ck.jsonl.bad"]
 
 
 def test_headerless_journal_is_not_repairable(tmp_path):

@@ -24,13 +24,10 @@ from repro.faults.servechaos import (
     ServeChaosPlan,
     flip_byte_in_last_record,
 )
+from repro.journal import repair_torn_tail
 from repro.serve.client import ServeClient
 from repro.serve.service import ServeConfig, start_server
-from repro.serve.wal import (
-    WriteAheadLog,
-    load_wal_state,
-    repair_wal_tail,
-)
+from repro.serve.wal import WriteAheadLog, load_wal_state
 
 QUERY = {
     "system": "dawn",
@@ -132,6 +129,56 @@ def test_headerless_damage_is_rotated_aside(tmp_path):
     assert load_wal_state(path).has_header
 
 
+def test_second_rotation_keeps_the_first_evidence(tmp_path):
+    """Rotation appends to the ``.bad`` sidecar: a second damaged
+    journal must not overwrite what the first one set aside."""
+    path = tmp_path / "serve-wal.jsonl"
+    sidecar = tmp_path / "serve-wal.jsonl.bad"
+    path.write_text("garbage-one\ngarbage-two\n")
+    WriteAheadLog(path, owner="t:1").close()
+    assert "garbage-one" in sidecar.read_text()
+
+    path.write_text("garbage-three\ngarbage-four\n")
+    wal = WriteAheadLog(path, owner="t:2")
+    assert wal.pending() == []
+    wal.close()
+    evidence = sidecar.read_text()
+    assert "garbage-one" in evidence and "garbage-three" in evidence
+    assert load_wal_state(path).has_header
+
+
+def test_compat_wal_loads_and_reopens_unchanged(compat_journal):
+    """A WAL written before :mod:`repro.journal` existed folds to the
+    same jobs, reopens without rotation, and reports a flipped byte."""
+    path = compat_journal("serve-wal.jsonl")
+    original = path.read_bytes()
+    state = load_wal_state(path)
+    assert state.has_header and not state.torn_tail
+    assert state.corrupt_records == 0
+    assert state.counts() == {"pending": 2, "complete": 1, "dead": 1}
+    assert [
+        (j.job_id, j.key, j.state, j.attempt, j.owner, j.deadline)
+        for j in state.entries.values()
+    ] == [
+        (1, "key-a", "complete", 1, "host-a:101", 1120.0),
+        (2, "key-b", "pending", 2, "host-a:202", 1320.0),
+        (3, "key-c", "dead", 1, "host-a:101", 1120.0),
+        (4, "key-d", "pending", 1, "host-a:202", 1320.0),
+    ]
+    assert state.entries[2].query == dict(QUERY, kernel="gemv")
+
+    wal = WriteAheadLog(path, owner="t:9", clock=lambda: 2000.0)
+    assert [j.job_id for j in wal.pending()] == [2, 4]
+    assert wal.append_accept("key-e", QUERY) == 5
+    wal.close()
+    assert path.read_bytes().startswith(original)
+    assert not path.with_name(path.name + ".bad").exists()
+
+    path.write_bytes(original)
+    assert flip_byte_in_last_record(path) is True
+    assert load_wal_state(path).corrupt_records == 1
+
+
 def test_fsck_audits_and_repairs_the_wal(tmp_path):
     wal = make_wal(tmp_path)
     wal.append_accept("key-a", QUERY)
@@ -195,10 +242,10 @@ def test_torn_tail_repair_is_idempotent(tmp_path_factory, keys, tail):
 
     # crash artifact: a partially flushed final line
     path.write_bytes(intact + tail.encode("ascii"))
-    assert repair_wal_tail(path) is True
+    assert repair_torn_tail(path) is True
     assert path.read_bytes() == intact
     # fixed point: repairing again changes nothing
-    assert repair_wal_tail(path) is False
+    assert repair_torn_tail(path) is False
     assert path.read_bytes() == intact
     state = load_wal_state(path)
     assert state.corrupt_records == 0
