@@ -93,10 +93,10 @@ class RunConfig:
 
     def sweep_params(self, problem_type: ProblemType) -> List[int]:
         """Strided sweep parameters, always including the top value."""
-        params = list(problem_type.param_range(self.min_dim, self.max_dim))
+        params = problem_type.param_range(self.min_dim, self.max_dim)
         if not params:
             return []
-        strided = params[:: self.step]
+        strided = list(params[:: self.step])
         if strided[-1] != params[-1]:
             strided.append(params[-1])
         return strided

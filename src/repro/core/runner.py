@@ -14,17 +14,26 @@ Three execution strategies exist, all producing bit-identical results:
   and the backend exposes ``cpu_sample_batch``/``gpu_sample_batch``
   (the analytic backend does), every (device, transfer) column of a
   series is evaluated in one NumPy shot;
-* a **parallel executor**: ``run_sweep(..., jobs=N)`` shards the
-  (problem type, precision) series across a persistent *warm* process
-  pool (:mod:`repro.core.workerpool` — spawned once, reused across
-  sweeps) and merges the results in deterministic series order.  Each
-  worker runs the vectorized fast path over its whole shard and returns
-  samples through a shared-memory segment instead of pickled lists.
-  Each worker journals to its own checkpoint shard, merged into the
-  single JSONL journal when the pool drains.  The runner falls back to
-  in-process execution when ``jobs=1``, when faults are enabled, or
-  when the backend/config cannot be pickled (the DES engine stays
-  serial *within* a series, but series still parallelize).
+* a **parallel executor** for per-cell backends: ``run_sweep(...,
+  jobs=N)`` shards the (problem type, precision) series across a
+  persistent *warm* process pool (:mod:`repro.core.workerpool` —
+  spawned once, reused across sweeps) and merges the results in
+  deterministic series order.  Workers return their series through the
+  executor's own pickle pipe (floats pickle exactly) and journal to
+  private checkpoint shards, merged into the single JSONL journal when
+  the pool drains.
+
+The executor follows from the backend, not from ``jobs`` alone.  A
+sweep the vectorized fast path can serve runs in-process at any
+``jobs``: one NumPy call per column costs less than shipping the
+series to a worker and back (on a 2-core host the 15-scenario
+paper-scale campaign took 0.64–1.31 s in-process against 1.27–1.73 s
+at ``jobs=2``).  Only per-cell sweeps — DES, host, scalar-only
+subclasses, a per-sample deadline — use the pool, where ``jobs`` is
+the worker count; there a DES sub-matrix fell from 0.58–0.96 s to
+0.32–0.59 s.  Fault-injected sweeps and backends that cannot pickle
+stay in-process too (the DES engine is serial *within* a series, but
+its series still parallelize).
 
 A fourth, orthogonal mode — ``RunConfig.adaptive`` — replaces the dense
 grid walk with a coarse-grid + bisection sweep
@@ -79,7 +88,7 @@ from ..faults.checkpoint import (
 )
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
-from ..types import DeviceKind, Dims, Kernel, Precision, TransferType
+from ..types import DeviceKind, Kernel, Precision, TransferType
 from .config import RunConfig
 from .invariants import (
     InvariantContext,
@@ -451,9 +460,11 @@ def run_sweep(
         JSONL journal path; with ``resume=True`` completed cells are
         replayed from it instead of re-sampled.
     ``jobs``
-        shard the (problem type, precision) series across a process
-        pool of this many workers; ``1`` (the default) runs in-process.
-        The merged result is bit-identical to a serial run.  The pool
+        shard the (problem type, precision) series of a per-cell sweep
+        across a process pool of this many workers; ``1`` (the default)
+        runs in-process, and so does any sweep the vectorized fast path
+        serves, whatever ``jobs`` says.  The merged result is
+        bit-identical to a serial run.  The pool
         is *supervised*: a shard whose worker dies (``BrokenProcessPool``)
         or blows its deadline is re-submitted on a fresh pool with
         simulated backoff, and after :data:`_MAX_SHARD_RETRIES` failed
@@ -580,9 +591,12 @@ def run_sweep(
         for problem_type in config.problem_types()
         for precision in config.precisions
     ]
+    # Vectorized sweeps never leave the process: shipping a whole NumPy
+    # column to a worker and back costs more than computing it here.
     use_parallel = (
         jobs > 1
         and len(shards) > 1
+        and not state.can_batch()
         and faults is None
         and not isinstance(state.backend, FaultInjector)
         and _picklable((state.backend, config, retry))
@@ -837,225 +851,14 @@ def _picklable(obj) -> bool:
         return False
 
 
-def _encode_done(done_sub: Dict[tuple, PerfSample]) -> list:
-    """Flatten a shard's resume samples to primitive rows for the pool
-    pipe: the sample key already carries every identity field, so only
-    the measured values ride along (floats pickle exactly)."""
-    return [
-        (key, s.seconds, s.gflops, s.checksum_ok)
-        for key, s in done_sub.items()
-    ]
-
-
-def _decode_done(rows: list) -> Dict[tuple, PerfSample]:
-    out: Dict[tuple, PerfSample] = {}
-    for key, seconds, gflops, checksum_ok in rows:
-        _kernel, _ident, _precision, device_v, transfer_v, m, n, k, its = key
-        out[key] = PerfSample(
-            device=DeviceKind(device_v),
-            transfer=TransferType(transfer_v) if transfer_v else None,
-            dims=Dims(m, n, k),
-            iterations=its,
-            seconds=seconds,
-            gflops=gflops,
-            checksum_ok=checksum_ok,
-        )
-    return out
-
-
-#: checksum_ok tristate encoding in the shared-memory check column
-_CHECK_CODE = {None: -1, False: 0, True: 1}
-_CHECK_DECODE = {-1: None, 0: False, 1: True}
-
-
-def _pack_shard_result(series: ProblemSeries, result: RunResult) -> tuple:
-    """Worker-side result encoding: one shared-memory segment per shard.
-
-    Layout (DESIGN §14): int64 dims ``(nd, 3)`` | float64 values
-    ``(n, 2)`` (seconds, gflops — raw bit patterns, so the parent's
-    reconstruction is bitwise identical) | int8 checksum codes ``(n,)``,
-    where ``n`` counts every sample in series order (CPU column, then
-    each transfer column).  In the common full-shard case every column
-    samples the same dims sequence, so the dims table is deduplicated
-    to one column's worth (``nd = n / len(columns)``) and the parent
-    reuses one ``Dims`` object per row across all columns; otherwise
-    ``nd == n`` and dims ship per sample.  The segment is unregistered
-    from the worker's resource tracker — ownership transfers to the
-    parent, which copies and unlinks it.  Any trouble (no shm support,
-    empty series, mixed iteration counts) falls back to returning the
-    pickled series.
-    """
-    try:
-        import numpy as np
-        from multiprocessing import resource_tracker, shared_memory
-
-        cols = [series.cpu] + list(series.gpu.values())
-        samples = series.all_samples()
-        n = len(samples)
-        if n == 0:
-            raise ValueError("empty series")
-        for s in samples:
-            if s.iterations != series.iterations:
-                raise ValueError("mixed iteration counts")
-        columns = [("cpu", None, len(series.cpu))]
-        columns.extend(
-            ("gpu", transfer.value, len(col))
-            for transfer, col in series.gpu.items()
-        )
-        first = cols[0]
-        shared_dims = all(len(col) == len(first) for col in cols) and all(
-            a.dims is b.dims or a.dims == b.dims
-            for col in cols[1:]
-            for a, b in zip(first, col)
-        )
-        dim_samples = first if shared_dims else samples
-        nd = len(dim_samples)
-        nbytes = nd * 24 + n * 16 + n
-        shm = shared_memory.SharedMemory(create=True, size=nbytes)
-        try:
-            dims_arr = np.ndarray((nd, 3), dtype=np.int64, buffer=shm.buf)
-            vals_arr = np.ndarray(
-                (n, 2), dtype=np.float64, buffer=shm.buf, offset=nd * 24
-            )
-            checks_arr = np.ndarray(
-                (n,), dtype=np.int8, buffer=shm.buf,
-                offset=nd * 24 + n * 16,
-            )
-            # bulk assignments: per-row scalar stores cost more than the
-            # shard's kernel math on large sweeps
-            dims_arr[:] = [
-                (s.dims.m, s.dims.n, s.dims.k) for s in dim_samples
-            ]
-            vals_arr[:] = [(s.seconds, s.gflops) for s in samples]
-            checks_arr[:] = [_CHECK_CODE[s.checksum_ok] for s in samples]
-            name = shm.name
-        finally:
-            del dims_arr, vals_arr, checks_arr
-            try:
-                resource_tracker.unregister(shm._name, "shared_memory")
-            except Exception:
-                pass
-            shm.close()
-        return (
-            "shm", name, n, nd, nbytes, columns, series.partial,
-            series.adaptive_wins, result.quarantine, result.degraded,
-            result.device_lost, result.stats,
-        )
-    except Exception:
-        return (
-            "pickle-worker", series, result.quarantine, result.degraded,
-            result.device_lost, result.stats,
-        )
-
-
-def _decode_shard_result(outcome: tuple, shard, config: RunConfig):
-    """Parent-side inverse of :func:`_pack_shard_result`."""
-    from . import workerpool
-
-    if outcome[0] in ("pickle", "pickle-worker"):
-        # bare "pickle" is the parent's own in-process last resort — not
-        # a pool transport, so it never counts as a fallback
-        if outcome[0] == "pickle-worker":
-            workerpool.record_shard(pickled=True)
-        return outcome[1:]
-    (
-        _tag, name, n, nd, nbytes, columns, partial, adaptive_wins,
-        quarantine, degraded, device_lost, stats,
-    ) = outcome
-    import numpy as np
-    from multiprocessing import shared_memory
-
-    problem_type, precision = shard
-    shm = shared_memory.SharedMemory(name=name)
-    try:
-        # tolist() detaches into pure-Python objects, so no copy is
-        # needed before closing the segment; column-wise flat lists
-        # keep the reconstruction loop free of nested tuple unpacking
-        dims_arr = np.ndarray((nd, 3), dtype=np.int64, buffer=shm.buf)
-        vals_arr = np.ndarray(
-            (n, 2), dtype=np.float64, buffer=shm.buf, offset=nd * 24
-        )
-        checks_arr = np.ndarray(
-            (n,), dtype=np.int8, buffer=shm.buf, offset=nd * 24 + n * 16
-        )
-        col_m = dims_arr[:, 0].tolist()
-        col_n = dims_arr[:, 1].tolist()
-        col_k = dims_arr[:, 2].tolist()
-        col_s = vals_arr[:, 0].tolist()
-        col_g = vals_arr[:, 1].tolist()
-        check_codes = checks_arr.tolist()
-    finally:
-        del dims_arr, vals_arr, checks_arr
-        shm.close()
-        shm.unlink()
-    series = ProblemSeries(
-        problem_type=problem_type,
-        precision=precision,
-        iterations=config.iterations,
-        partial=partial,
-    )
-    iterations = config.iterations
-    decode = _CHECK_DECODE
-    # deduplicated dims table (see _pack_shard_result): build each Dims
-    # once and share the objects across columns, exactly as the batch
-    # fast path does worker-side
-    shared = nd < n
-    dims_objs = (
-        [Dims(m, n_, k) for m, n_, k in zip(col_m, col_n, col_k)]
-        if shared else None
-    )
-    row = 0
-    for device_v, transfer_v, count in columns:
-        device = DeviceKind(device_v)
-        transfer = TransferType(transfer_v) if transfer_v else None
-        end = row + count
-        # positional construction in one comprehension: this loop
-        # rebuilds every sample of every shard, so it is the parent's
-        # hottest path under jobs=N
-        if shared:
-            column = [
-                PerfSample(
-                    device, transfer, d, iterations,
-                    seconds, gflops, decode[code],
-                )
-                for d, seconds, gflops, code in zip(
-                    dims_objs, col_s[row:end], col_g[row:end],
-                    check_codes[row:end],
-                )
-            ]
-        else:
-            column = [
-                PerfSample(
-                    device, transfer, Dims(m, n_, k), iterations,
-                    seconds, gflops, decode[code],
-                )
-                for m, n_, k, seconds, gflops, code in zip(
-                    col_m[row:end], col_n[row:end], col_k[row:end],
-                    col_s[row:end], col_g[row:end], check_codes[row:end],
-                )
-            ]
-        row = end
-        if device is DeviceKind.CPU:
-            series.cpu.extend(column)
-        else:
-            series.gpu[transfer] = column
-    if adaptive_wins is not None:
-        series.adaptive_wins = adaptive_wins
-        series.adaptive_dims = [
-            problem_type.dims_at(p) for p in config.sweep_params(problem_type)
-        ]
-    workerpool.record_shard(nbytes)
-    return series, quarantine, degraded, device_lost, stats
-
-
 def _sweep_shard_worker(payload: tuple):
     """Run one (problem type, precision) series in a pool worker.
 
-    Returns a tagged result tuple — ``("shm", ...)`` from pool workers
-    (samples ride a shared-memory segment, see :func:`_pack_shard_result`)
-    or ``("pickle", series, quarantine, degraded, device_lost, stats)``
-    from the in-process last resort — that :func:`_decode_shard_result`
-    turns back into everything the parent's ordered merge needs.
+    Returns ``(series, quarantine, degraded, device_lost, stats)`` —
+    everything the parent's ordered merge needs — through the
+    executor's own pickle pipe (floats pickle exactly, so the merge is
+    bit-identical to a serial run).  The in-process last resort calls
+    it directly and gets the same tuple.
 
     Chaos hook: setting ``REPRO_CHAOS_KILL_SHARD=<index>`` hard-kills
     the worker assigned that shard (``os._exit``, no cleanup — the way
@@ -1069,12 +872,11 @@ def _sweep_shard_worker(payload: tuple):
     import os
 
     (
-        backend, problem_type, precision, config, retry, done_rows,
+        backend, problem_type, precision, config, retry, done,
         quarantined, shard_path, system_name, transfers, gpu_lost, degraded,
         shard_index, parent_pid, chaos,
     ) = payload
-    in_worker = os.getpid() != parent_pid
-    if chaos == str(shard_index) and in_worker:
+    if chaos == str(shard_index) and os.getpid() != parent_pid:
         os._exit(1)
     result = RunResult(config=config, system_name=system_name)
     writer = (
@@ -1095,16 +897,14 @@ def _sweep_shard_worker(payload: tuple):
     try:
         series = _run_series(
             state, problem_type, precision, config, transfers,
-            _decode_done(done_rows), quarantined,
+            done, quarantined,
         )
     finally:
         if writer is not None:
             writer.close()
-    if in_worker:
-        return _pack_shard_result(series, result)
     return (
-        "pickle", series, result.quarantine, result.degraded,
-        result.device_lost, result.stats,
+        series, result.quarantine, result.degraded, result.device_lost,
+        result.stats,
     )
 
 
@@ -1120,24 +920,6 @@ def _shard_label(shards, i: int) -> str:
         f"shard {i} ({problem_type.kernel.value}/{problem_type.ident}/"
         f"{precision.value})"
     )
-
-
-def _terminate_pool(pool) -> None:
-    """Tear a pool down *now*: a deadline overrun means a worker is
-    wedged, so a cooperative shutdown would block behind it.
-
-    The process list must be snapshotted *before* ``shutdown()`` —
-    ``Executor.shutdown`` drops its ``_processes`` reference even with
-    ``wait=False``, and a wedged worker left running would block
-    interpreter exit behind the executor's atexit join.
-    """
-    import contextlib
-
-    procs = list((getattr(pool, "_processes", None) or {}).values())
-    pool.shutdown(wait=False, cancel_futures=True)
-    for proc in procs:
-        with contextlib.suppress(Exception):
-            proc.terminate()
 
 
 def _run_parallel(
@@ -1169,8 +951,7 @@ def _run_parallel(
     completes.  Backoff between attempts is simulated (accumulated on
     stats, never slept), recoveries are journaled as ``shard-retry`` /
     ``shard-inprocess`` events, and the merged result stays bit-identical
-    to a clean serial run (workers return samples through shared-memory
-    segments whose float64 bit patterns survive the trip exactly).
+    to a clean serial run.
     """
     import concurrent.futures
     import os
@@ -1187,9 +968,7 @@ def _run_parallel(
     shard_paths = []
     for i, (problem_type, precision) in enumerate(shards):
         ident = (problem_type.kernel.value, problem_type.ident, precision.value)
-        done_rows = _encode_done(
-            {k: v for k, v in done.items() if k[:3] == ident}
-        )
+        done_sub = {k: v for k, v in done.items() if k[:3] == ident}
         quarantined_sub = {k for k in quarantined_keys if k[:3] == ident}
         shard_path = (
             f"{state.writer.path}.shard-{i}" if state.writer is not None
@@ -1198,7 +977,7 @@ def _run_parallel(
         shard_paths.append(shard_path)
         payloads.append((
             state.backend, problem_type, precision, config, state.retry,
-            done_rows, quarantined_sub, shard_path, system_name, transfers,
+            done_sub, quarantined_sub, shard_path, system_name, transfers,
             state.gpu_lost, result.degraded, i, parent_pid, chaos,
         ))
 
@@ -1305,7 +1084,7 @@ def _run_parallel(
                         if warm:
                             workerpool.terminate(jobs)
                         else:
-                            _terminate_pool(pool)
+                            workerpool.stop(pool, kill=True)
                         deadline_hit = True
                     except Exception:
                         # A dead worker breaks its whole pool: every
@@ -1322,12 +1101,13 @@ def _run_parallel(
                     if broken:
                         workerpool.mark_broken(jobs)
                 else:
-                    pool.shutdown(wait=False, cancel_futures=True)
+                    workerpool.stop(pool)
         pending = still
-    for i, (outcome, shard_path) in enumerate(zip(outcomes, shard_paths)):
-        series, quarantine, degraded, device_lost, shard_stats = (
-            _decode_shard_result(outcome, shards[i], config)
-        )
+    # every shard the parent did not run as a last resort came back
+    # from a pool worker
+    workerpool.record_shards(len(shards) - stats.inprocess_shards)
+    for outcome, shard_path in zip(outcomes, shard_paths):
+        series, quarantine, degraded, device_lost, shard_stats = outcome
         result.series.append(series)
         result.quarantine.extend(quarantine)
         for entry in quarantine:

@@ -285,6 +285,19 @@ def _parse_sample(rec: dict) -> PerfSample:
     )
 
 
+def _parse_series(rec: dict) -> ProblemSeries:
+    """One ``run_payload`` series record back as a :class:`ProblemSeries`
+    (raises ``KeyError``/``TypeError``/``ValueError`` when malformed)."""
+    series = ProblemSeries(
+        problem_type=get_problem_type(Kernel(rec["kernel"]), rec["ident"]),
+        precision=Precision(rec["precision"]),
+        iterations=rec["iterations"],
+    )
+    for sample_rec in rec["samples"]:
+        series.add(_parse_sample(sample_rec))
+    return series
+
+
 def run_payload(result) -> dict:
     """The canonical JSON form of one run's series — the shared
     serialization of cache entries and distributed-campaign result
@@ -314,20 +327,10 @@ def parse_run_payload(payload: dict, config: RunConfig,
     is a warned cache miss or a re-dispatched scenario."""
     from .runner import RunResult  # local import: runner imports us lazily
 
-    series_list: List[ProblemSeries] = []
-    for rec in payload["series"]:
-        series = ProblemSeries(
-            problem_type=get_problem_type(Kernel(rec["kernel"]), rec["ident"]),
-            precision=Precision(rec["precision"]),
-            iterations=rec["iterations"],
-        )
-        for sample_rec in rec["samples"]:
-            series.add(_parse_sample(sample_rec))
-        series_list.append(series)
     return RunResult(
         config=config,
         system_name=payload.get("system", system_name),
-        series=series_list,
+        series=[_parse_series(rec) for rec in payload["series"]],
     )
 
 
@@ -361,6 +364,34 @@ def _warn_corrupt(path: Path, why: str) -> None:
     )
 
 
+def _verified_payload(path: Path, *, warn: bool) -> Optional[dict]:
+    """The payload of one entry file once its format version and payload
+    digest check out, else ``None``.  With ``warn``, an unparseable or
+    digest-failing entry is a :class:`CacheIntegrityWarning`; absent and
+    stale-format entries are always quiet."""
+    try:
+        text = path.read_text()
+    except OSError:
+        return None  # absent (or racing eviction): a plain miss
+    try:
+        entry = json.loads(text)
+    except ValueError:
+        if warn:
+            _warn_corrupt(path, "is not parseable JSON")
+        return None
+    if not isinstance(entry, dict) or entry.get("version") != CACHE_VERSION:
+        return None  # stale format: recompute and overwrite quietly
+    payload = {
+        k: v for k, v in entry.items()
+        if k not in ("version", "payload_sha256")
+    }
+    if entry.get("payload_sha256") != payload_digest(payload):
+        if warn:
+            _warn_corrupt(path, "failed its payload sha256 check")
+        return None
+    return payload
+
+
 def load_cached_run(
     cache_dir, config: RunConfig, system_name: Optional[str], backend
 ):
@@ -380,23 +411,8 @@ def load_cached_run(
 
 def _load_entry(cache_dir, key: str, config: RunConfig, system_name):
     path = _entry_path(cache_dir, key)
-    try:
-        text = path.read_text()
-    except OSError:
-        return None  # absent (or racing eviction): a plain miss
-    try:
-        entry = json.loads(text)
-    except ValueError:
-        _warn_corrupt(path, "is not parseable JSON")
-        return None
-    if not isinstance(entry, dict) or entry.get("version") != CACHE_VERSION:
-        return None  # stale format: recompute and overwrite quietly
-    payload = {
-        k: v for k, v in entry.items()
-        if k not in ("version", "payload_sha256")
-    }
-    if entry.get("payload_sha256") != payload_digest(payload):
-        _warn_corrupt(path, "failed its payload sha256 check")
+    payload = _verified_payload(path, warn=True)
+    if payload is None:
         return None
     try:
         result = parse_run_payload(payload, config, system_name)
@@ -434,19 +450,8 @@ def find_stale_series(
         return None
     best = None  # ((|Δiterations|, iterations, entry name), series record)
     for path in sorted(cache_dir.glob("*.json")):
-        try:
-            entry = json.loads(path.read_text())
-        except (OSError, ValueError):
-            continue
-        if not isinstance(entry, dict) or entry.get("version") != CACHE_VERSION:
-            continue
-        payload = {
-            k: v for k, v in entry.items()
-            if k not in ("version", "payload_sha256")
-        }
-        if entry.get("payload_sha256") != payload_digest(payload):
-            continue
-        if payload.get("system") != system_name:
+        payload = _verified_payload(path, warn=False)
+        if payload is None or payload.get("system") != system_name:
             continue
         for rec in payload.get("series", ()):
             try:
@@ -467,13 +472,7 @@ def find_stale_series(
         return None
     rec = best[1]
     try:
-        series = ProblemSeries(
-            problem_type=get_problem_type(Kernel(rec["kernel"]), rec["ident"]),
-            precision=Precision(rec["precision"]),
-            iterations=rec["iterations"],
-        )
-        for sample_rec in rec["samples"]:
-            series.add(_parse_sample(sample_rec))
+        series = _parse_series(rec)
     except (KeyError, TypeError, ValueError):
         return None
     return series, int(rec["iterations"])

@@ -6,8 +6,10 @@ cost swamped the parallel win (the throughput bench showed ``--jobs 4``
 at ~1.28x serial while the vectorized fast path ran at ~5.9x).  This
 module keeps one pool per worker count alive for the life of the
 process, so consecutive sweeps — a campaign's scenario matrix, the
-serve daemon's job queue, the bench's timing rounds — pay the spawn
-cost once and reuse warm workers after that.
+bench's timing rounds — pay the spawn cost once and reuse warm
+workers after that.  Only per-cell sweeps (DES, host, scalar-only
+backends) reach the pool: the runner keeps vectorized sweeps
+in-process at any ``jobs``.
 
 Supervision semantics are unchanged: the runner still charges shard
 attempts, isolates repeat offenders on dedicated single-worker pools
@@ -35,7 +37,7 @@ import contextlib
 import multiprocessing
 import os
 import threading
-from typing import Dict, Optional
+from typing import Dict
 
 __all__ = [
     "dedicated_pool",
@@ -44,6 +46,7 @@ __all__ = [
     "pool_stats",
     "reset_stats",
     "shutdown_all",
+    "stop",
     "terminate",
 ]
 
@@ -62,9 +65,10 @@ _counters = {
     "reuses": 0,          # get_pool() calls served by an existing pool
     "respawns": 0,        # spawns that replaced a broken/terminated pool
     "retired": 0,         # pools marked broken or terminated
-    "shards_executed": 0, # shard results decoded from warm/dedicated pools
-    "shm_bytes": 0,       # bytes returned through shared-memory segments
-    "pickle_fallbacks": 0,# shard results that fell back to pickling
+    "shards_executed": 0, # shard results returned by warm/dedicated pools
+    # no transport fills these two any more; traced benchmark runs read them
+    "shm_bytes": 0,
+    "pickle_fallbacks": 0,
 }
 #: worker counts whose pool was ever retired — the next get_pool() for
 #: that count is a *respawn*, not a first spawn.
@@ -116,16 +120,16 @@ def _is_broken(pool) -> bool:
     )
 
 
-def _retire_locked(workers: int, *, kill: bool = False) -> None:
-    pool = _pools.pop(workers, None)
-    if pool is None:
-        return
-    _counters["retired"] += 1
-    _retired_sizes.add(workers)
-    # Snapshot processes *before* shutdown(): the executor drops its
-    # _processes reference even with wait=False, and an un-terminated
-    # wedged worker would block interpreter exit behind the executor's
-    # join (see _terminate_pool in runner.py, same idiom).
+def stop(pool, *, kill: bool = False) -> None:
+    """Shut ``pool`` down without waiting; ``kill=True`` also terminates
+    its workers (a deadline overrun means one is wedged, and a
+    cooperative shutdown would block behind it).
+
+    The process list is snapshotted *before* ``shutdown()``: the
+    executor drops its ``_processes`` reference even with
+    ``wait=False``, and an un-terminated wedged worker would block
+    interpreter exit behind the executor's join.
+    """
     procs = list((getattr(pool, "_processes", None) or {}).values())
     with contextlib.suppress(Exception):
         pool.shutdown(wait=False, cancel_futures=True)
@@ -133,6 +137,15 @@ def _retire_locked(workers: int, *, kill: bool = False) -> None:
         for proc in procs:
             with contextlib.suppress(Exception):
                 proc.terminate()
+
+
+def _retire_locked(workers: int, *, kill: bool = False) -> None:
+    pool = _pools.pop(workers, None)
+    if pool is None:
+        return
+    _counters["retired"] += 1
+    _retired_sizes.add(workers)
+    stop(pool, kill=kill)
 
 
 def mark_broken(workers: int) -> None:
@@ -156,14 +169,11 @@ def shutdown_all() -> None:
             _retire_locked(workers, kill=True)
 
 
-def record_shard(shm_bytes: int = 0, *, pickled: bool = False) -> None:
-    """Count one decoded shard result (called by the runner's merge)."""
+def record_shards(count: int) -> None:
+    """Count shard results returned by pool workers (called by the
+    runner's merge)."""
     with _lock:
-        _counters["shards_executed"] += 1
-        if pickled:
-            _counters["pickle_fallbacks"] += 1
-        else:
-            _counters["shm_bytes"] += shm_bytes
+        _counters["shards_executed"] += count
 
 
 def workers_alive() -> int:

@@ -15,6 +15,7 @@ import pytest
 
 from dataclasses import replace
 
+from conftest import ScalarAnalyticBackend, run_on_pool
 from repro import AnalyticBackend, make_model, run_sweep
 from repro.backends.des import DesBackend
 from repro.core.config import RunConfig
@@ -66,8 +67,8 @@ def test_samples_at_most_quarter_of_dense_grid():
 def test_adaptive_composes_with_parallel_executor():
     config = replace(CONFIG, adaptive=True)
     serial = run_sweep(AnalyticBackend(_MODELS["dawn"]), config, "dawn")
-    parallel = run_sweep(
-        AnalyticBackend(_MODELS["dawn"]), config, "dawn", jobs=4
+    parallel = run_on_pool(
+        ScalarAnalyticBackend(_MODELS["dawn"]), config, "dawn", jobs=4
     )
     assert parallel.series == serial.series
     for mc in (1, 2, 3):

@@ -14,6 +14,7 @@ import textwrap
 import pytest
 
 import repro.cli as cli
+from repro.core import workerpool
 from repro.core.campaign import (
     CampaignSpec,
     assert_no_drift,
@@ -156,8 +157,12 @@ def test_path_idents_resolve_relative_to_the_campaign_file(tmp_path):
 def test_serial_and_parallel_reports_are_byte_identical(
     small_campaign, tmp_path
 ):
+    # DES is a per-cell backend, so jobs=2 shards across pool workers;
+    # its report must still match the in-process analytic one
     serial = run_campaign(small_campaign, jobs=1)
-    parallel = run_campaign(small_campaign, jobs=2)
+    shards = workerpool.pool_stats()["shards_executed"]
+    parallel = run_campaign(small_campaign, jobs=2, backend="des")
+    assert workerpool.pool_stats()["shards_executed"] > shards
     assert serial.complete and parallel.complete
     write_report(serial, tmp_path / "serial")
     write_report(parallel, tmp_path / "parallel")

@@ -14,6 +14,7 @@ import warnings
 
 import pytest
 
+from conftest import ScalarAnalyticBackend, run_on_pool
 from repro import (
     AnalyticBackend,
     InvariantContext,
@@ -103,7 +104,9 @@ def test_honest_backends_never_trip_the_guard(system, backend_cls):
 def test_parallel_strict_sweep_matches_serial(tmp_path):
     model = make_model("dawn")
     serial = run_sweep(AnalyticBackend(model), STRICT, "dawn")
-    parallel = run_sweep(AnalyticBackend(model), STRICT, "dawn", jobs=4)
+    parallel = run_on_pool(
+        ScalarAnalyticBackend(model), STRICT, "dawn", jobs=4
+    )
     assert serial.series == parallel.series
 
 

@@ -5,7 +5,9 @@ pool and merges in submission order; nothing about the numbers may
 change.  These tests compare full :class:`RunResult` equality *and* the
 written CSV bytes for every table-style configuration (at a reduced
 sweep range), plus a resumed run whose journal mixes serial and
-parallel segments.
+parallel segments.  The parallel runs use :class:`ScalarAnalyticBackend`
+— a vectorized analytic sweep would stay in-process — and compare
+against the in-process analytic run.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import warnings
 
 import pytest
 
+from conftest import ScalarAnalyticBackend, run_on_pool
 from repro import AnalyticBackend, make_model, run_sweep
 from repro.backends.des import DesBackend
 from repro.core.config import RunConfig
@@ -52,9 +55,10 @@ def _csv_bytes(result, out_dir):
 @pytest.mark.parametrize("table", sorted(TABLE_CONFIGS))
 def test_parallel_csvs_byte_identical_to_serial(table, tmp_path):
     config = TABLE_CONFIGS[table]
-    backend = AnalyticBackend(MODEL)
-    serial = run_sweep(backend, config, "dawn")
-    parallel = run_sweep(backend, config, "dawn", jobs=4)
+    serial = run_sweep(AnalyticBackend(MODEL), config, "dawn")
+    parallel = run_on_pool(
+        ScalarAnalyticBackend(MODEL), config, "dawn", jobs=4
+    )
     assert parallel == serial
     assert _csv_bytes(parallel, tmp_path / "par") == _csv_bytes(
         serial, tmp_path / "ser"
@@ -66,9 +70,10 @@ def test_parallel_series_order_matches_serial():
         max_dim=64, step=16, iterations=1,
         problem_idents=("square", "mn_k32", "m32_n"),
     )
-    backend = AnalyticBackend(MODEL)
-    serial = run_sweep(backend, config, "dawn")
-    parallel = run_sweep(backend, config, "dawn", jobs=3)
+    serial = run_sweep(AnalyticBackend(MODEL), config, "dawn")
+    parallel = run_on_pool(
+        ScalarAnalyticBackend(MODEL), config, "dawn", jobs=3
+    )
     assert [
         (s.kernel, s.ident, s.precision) for s in parallel.series
     ] == [(s.kernel, s.ident, s.precision) for s in serial.series]
@@ -83,7 +88,7 @@ def test_des_backend_series_parallelize():
     )
     backend = DesBackend(make_model("lumi"))
     serial = run_sweep(backend, config, "lumi")
-    parallel = run_sweep(backend, config, "lumi", jobs=2)
+    parallel = run_on_pool(backend, config, "lumi", jobs=2)
     assert parallel == serial
 
 
@@ -133,8 +138,9 @@ def test_resumed_run_mixing_serial_and_parallel_segments(tmp_path):
     with pytest.raises(KeyboardInterrupt):
         run_sweep(Interrupting(backend, 25), config, "dawn", checkpoint=ck)
 
-    finished = run_sweep(
-        backend, config, "dawn", checkpoint=ck, resume=True, jobs=4
+    finished = run_on_pool(
+        ScalarAnalyticBackend(MODEL), config, "dawn", checkpoint=ck,
+        resume=True, jobs=4,
     )
     assert finished.stats.resumed_samples == 25
     assert finished == reference

@@ -12,6 +12,7 @@ import warnings
 
 import pytest
 
+from conftest import ScalarAnalyticBackend, run_on_pool
 from repro import AnalyticBackend, FaultPlan, RetryPolicy, make_model, run_sweep
 from repro.backends.des import DesBackend
 from repro.core.config import RunConfig
@@ -211,7 +212,12 @@ def test_host_backend_has_no_cache_token():
 def test_parallel_run_stores_and_hits_like_serial(tmp_path):
     cache = tmp_path / "cache"
     config = RunConfig(max_dim=64, step=16, iterations=8)
-    first = run_sweep(_backend(), config, "dawn", jobs=4, cache_dir=cache)
+    # the scalar-only twin shards across the pool and shares the
+    # analytic backend's cache token
+    first = run_on_pool(
+        ScalarAnalyticBackend(make_model("dawn")), config, "dawn", jobs=4,
+        cache_dir=cache,
+    )
     assert len(list(cache.glob("*.json"))) == 1
     hit = run_sweep(_backend(), config, "dawn", cache_dir=cache)
     assert hit == first and hit.stats.cached_samples > 0

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from conftest import ScalarAnalyticBackend, run_on_pool
 from repro import AnalyticBackend, RunConfig, make_model, run_sweep
 from repro.core.csvio import write_run
 from repro.core.runner import _MAX_SHARD_RETRIES
@@ -98,7 +99,7 @@ def test_recoveries_are_journaled_and_journal_replays(tmp_path):
 def test_chaos_env_hook_kills_and_recovers(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CHAOS_KILL_SHARD", "0")
     serial = run_sweep(AnalyticBackend(MODEL), CONFIG, "dawn")
-    chaos = run_sweep(AnalyticBackend(MODEL), CONFIG, "dawn", jobs=2)
+    chaos = run_on_pool(ScalarAnalyticBackend(MODEL), CONFIG, "dawn", jobs=2)
     assert chaos.complete
     assert chaos.stats.inprocess_shards == 1
     assert _csv_bytes(serial, tmp_path / "a") == _csv_bytes(

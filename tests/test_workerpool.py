@@ -4,7 +4,9 @@ The pool in :mod:`repro.core.workerpool` outlives individual sweeps —
 these tests pin the lifecycle contract: consecutive ``run_sweep`` calls
 reuse one spawn, a worker death retires the pool and the next sweep
 respawns it transparently (still bit-identical), and a process that
-used the pool exits promptly without hanging in atexit joins.
+used the pool exits promptly without hanging in atexit joins.  The pool
+sweeps run :class:`ScalarAnalyticBackend` (per-cell, so it shards); a
+vectorized analytic sweep never touches the pool at all.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from conftest import ScalarAnalyticBackend
 from repro import AnalyticBackend, make_model, run_sweep
 from repro.core import workerpool
 from repro.core.config import RunConfig
@@ -40,17 +43,25 @@ def teardown_module(_module):
     workerpool.shutdown_all()
 
 
+def test_vectorized_sweep_never_touches_the_pool():
+    serial = run_sweep(AnalyticBackend(MODEL), CONFIG, "dawn")
+    before = workerpool.pool_stats()
+    parallel = run_sweep(AnalyticBackend(MODEL), CONFIG, "dawn", jobs=2)
+    after = workerpool.pool_stats()
+    assert parallel == serial
+    assert after["spawns"] == before["spawns"]
+    assert after["shards_executed"] == before["shards_executed"]
+
+
 def test_pool_reused_across_sweeps(tmp_path):
     serial = run_sweep(AnalyticBackend(MODEL), CONFIG, "dawn")
-    first = run_sweep(AnalyticBackend(MODEL), CONFIG, "dawn", jobs=2)
-    second = run_sweep(AnalyticBackend(MODEL), CONFIG, "dawn", jobs=2)
+    first = run_sweep(ScalarAnalyticBackend(MODEL), CONFIG, "dawn", jobs=2)
+    second = run_sweep(ScalarAnalyticBackend(MODEL), CONFIG, "dawn", jobs=2)
     stats = workerpool.pool_stats()
     assert stats["spawns"] == 1
     assert stats["reuses"] >= 1
     assert stats["respawns"] == 0
     assert stats["shards_executed"] == 8  # 4 shards x 2 sweeps
-    assert stats["pickle_fallbacks"] == 0
-    assert stats["shm_bytes"] > 0
     assert first == serial and second == serial
     assert _csv_bytes(first, tmp_path / "a") == _csv_bytes(
         serial, tmp_path / "b"
@@ -60,13 +71,13 @@ def test_pool_reused_across_sweeps(tmp_path):
 def test_worker_death_retries_and_respawns_warm_pool(tmp_path, monkeypatch):
     serial = run_sweep(AnalyticBackend(MODEL), CONFIG, "dawn")
     monkeypatch.setenv("REPRO_CHAOS_KILL_SHARD", "0")
-    chaos = run_sweep(AnalyticBackend(MODEL), CONFIG, "dawn", jobs=2)
+    chaos = run_sweep(ScalarAnalyticBackend(MODEL), CONFIG, "dawn", jobs=2)
     assert chaos.complete
     assert chaos.stats.worker_retries >= 1
     monkeypatch.delenv("REPRO_CHAOS_KILL_SHARD")
     # the poisoned pool was retired; the next sweep respawns it warm
     # and keeps reusing it afterwards
-    after = run_sweep(AnalyticBackend(MODEL), CONFIG, "dawn", jobs=2)
+    after = run_sweep(ScalarAnalyticBackend(MODEL), CONFIG, "dawn", jobs=2)
     stats = workerpool.pool_stats()
     assert stats["retired"] >= 1
     assert stats["respawns"] >= 1
@@ -84,24 +95,28 @@ def test_interpreter_exits_cleanly_with_live_pool():
     down must still exit promptly (the module's exit hook runs before
     concurrent.futures' join — a hang here would deadlock every CLI
     invocation that used jobs=N)."""
-    src = Path(__file__).resolve().parent.parent / "src"
+    tests = Path(__file__).resolve().parent
     script = (
-        "from repro import AnalyticBackend, make_model, run_sweep\n"
+        "from conftest import ScalarAnalyticBackend\n"
+        "from repro import make_model, run_sweep\n"
         "from repro.core.config import RunConfig\n"
         "from repro.core import workerpool\n"
         "from repro.types import Kernel\n"
         "config = RunConfig(max_dim=64, step=16, iterations=4,\n"
         "                   kernels=(Kernel.GEMM,),\n"
         "                   problem_idents=('square',))\n"
-        "run_sweep(AnalyticBackend(make_model('dawn')), config, 'dawn',\n"
-        "          jobs=2)\n"
+        "run_sweep(ScalarAnalyticBackend(make_model('dawn')), config,\n"
+        "          'dawn', jobs=2)\n"
         "assert workerpool.pool_stats()['pools_alive'] == 1\n"
         "print('OK')\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True, text=True, timeout=120,
-        env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+        env={
+            "PYTHONPATH": f"{tests.parent / 'src'}:{tests}",
+            "PATH": "/usr/bin:/bin",
+        },
     )
     assert proc.returncode == 0, proc.stderr
     assert "OK" in proc.stdout
