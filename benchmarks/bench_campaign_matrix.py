@@ -2,17 +2,21 @@
 
 Runs the committed ``campaigns/ci-smoke.toml`` matrix (2 systems x 2
 problem types x 2 precisions x 2 paradigms at i=8) through
-:func:`repro.core.campaign.run_campaign` serially and sharded, and
-asserts the two aggregated reports are byte-identical *and* match the
-committed golden under ``results/campaign/ci-smoke/`` — the same
-contract the CI ``campaign-smoke`` job enforces, measured here.
+:func:`repro.core.campaign.run_campaign` serially on the analytic
+backend and sharded across a 2-worker pool on the DES backend (a
+vectorized analytic sweep never leaves the process, so only a per-cell
+backend reaches the pool), and asserts the two aggregated reports are
+byte-identical *and* match the committed golden under
+``results/campaign/ci-smoke/`` — the same contract the CI
+``campaign-smoke`` job enforces, measured here.
 
 Writes ``results/BENCH_campaign_matrix.json``.  Runnable standalone::
 
     PYTHONPATH=src:benchmarks python benchmarks/bench_campaign_matrix.py
     PYTHONPATH=src:benchmarks python benchmarks/bench_campaign_matrix.py --check
 
-``--check`` exits non-zero on any report divergence or golden drift.
+``--check`` exits non-zero on any report divergence, golden drift or
+a DES run that never reached the pool.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import time
 from pathlib import Path
 
 from harness import RESULTS_DIR, run_once
+from repro.core import workerpool
 from repro.core.campaign import (
     check_drift,
     load_campaign,
@@ -34,9 +39,10 @@ from repro.core.campaign import (
 CAMPAIGN = Path(__file__).resolve().parent.parent / "campaigns" / "ci-smoke.toml"
 
 
-def _timed(campaign, jobs: int, out: Path) -> float:
+def _timed(campaign, jobs: int, out: Path, backend=None) -> float:
     start = time.perf_counter()
-    result = run_campaign(campaign, jobs=jobs, cache_dir=None)
+    result = run_campaign(campaign, jobs=jobs, backend=backend,
+                          cache_dir=None)
     elapsed = time.perf_counter() - start
     assert result.complete, f"jobs={jobs} campaign did not complete"
     write_report(result, out)
@@ -49,7 +55,9 @@ def measure() -> dict:
         serial_dir = Path(tmp) / "serial"
         parallel_dir = Path(tmp) / "parallel"
         serial_s = _timed(campaign, 1, serial_dir)
-        parallel_s = _timed(campaign, 2, parallel_dir)
+        workerpool.reset_stats()
+        parallel_s = _timed(campaign, 2, parallel_dir, backend="des")
+        pool_shards = workerpool.pool_stats()["shards_executed"]
         csv_bytes = (serial_dir / "campaign_report.csv").read_bytes()
         identical = (
             csv_bytes == (parallel_dir / "campaign_report.csv").read_bytes()
@@ -71,8 +79,9 @@ def measure() -> dict:
         "serial": {"seconds": serial_s},
         "parallel": {
             "jobs": 2,
+            "backend": "des",
             "seconds": parallel_s,
-            "speedup_vs_serial": serial_s / parallel_s,
+            "pool_shards": pool_shards,
         },
         "reports_byte_identical": identical,
         "golden_drift_free": drift_free,
@@ -84,9 +93,9 @@ def report(data: dict) -> str:
         f"campaign {data['campaign']} — {data['matrix_size']} matrix "
         f"cells over {data['scenarios']} scenario sweep(s), "
         f"{data['report_rows']} report rows",
-        f"  serial : {data['serial']['seconds']:7.3f} s",
-        f"  jobs=2 : {data['parallel']['seconds']:7.3f} s "
-        f"({data['parallel']['speedup_vs_serial']:.2f}x)",
+        f"  serial     : {data['serial']['seconds']:7.3f} s",
+        f"  DES jobs=2 : {data['parallel']['seconds']:7.3f} s "
+        f"({data['parallel']['pool_shards']} pool shard(s))",
         f"  byte-identical reports: {data['reports_byte_identical']}",
         f"  golden drift-free     : {data['golden_drift_free']}",
     ])
@@ -104,6 +113,7 @@ def test_campaign_matrix(benchmark):
     print("\n" + report(data))
     assert data["reports_byte_identical"]
     assert data["golden_drift_free"]
+    assert data["parallel"]["pool_shards"] > 0
     # check_drift on own rows must also be clean (the CLI path)
     campaign = load_campaign(CAMPAIGN)
     result = run_campaign(campaign, cache_dir=None)
@@ -115,10 +125,14 @@ def main(argv=None) -> int:
     data = measure()
     write_json(data)
     print(report(data))
-    healthy = data["reports_byte_identical"] and data["golden_drift_free"]
+    healthy = (
+        data["reports_byte_identical"]
+        and data["golden_drift_free"]
+        and data["parallel"]["pool_shards"] > 0
+    )
     if check and not healthy:
-        print("FAIL: campaign reports diverged or drifted from the golden",
-              file=sys.stderr)
+        print("FAIL: campaign reports diverged, drifted from the golden "
+              "or never reached the pool", file=sys.stderr)
         return 1
     return 0
 
